@@ -11,10 +11,11 @@
 # tailing peer that answers them warm from its replicated store.
 set -eux
 
-# Term-construction lint: fol.Term values must be built through the fol
-# package's constructors (which route through the owning interner), never
-# as raw composite literals — a raw literal would silently produce a
-# legacy tree node with no ID and break every ID-keyed map downstream.
+# Term-construction lint: fol.Term values must be built through an
+# interner's leaf constructors and the fol smart constructors, never as raw
+# composite literals — a raw literal would be a term with no owning
+# interner, no ID, and no key, and would break every ID-keyed map and
+# key-based cache downstream.
 if grep -rn '&fol\.Term{' --include='*.go' --exclude-dir=fol .; then
     echo "ci: raw &fol.Term{...} composite literal outside internal/fol" >&2
     exit 1
@@ -32,25 +33,39 @@ if grep -rn 'smt\.New()' internal/verify --include='*.go' \
 fi
 
 go vet ./...
+# Formatting gate: gofmt must have nothing to rewrite.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "ci: gofmt would reformat: $unformatted" >&2
+    exit 1
+fi
 go build ./...
 go test -race ./...
 
-# The differential verdict-parity suite (interned vs legacy term
-# construction) is part of the -race run above; run it by name as well so
-# a test-filtering change can never silently drop it.
+# The golden verdict-parity suites hold the default pipeline to the
+# verdicts recorded under testdata/ while hash-consed and tree-allocated
+# term construction still ran side by side and agreed on every pair.
+# TestEveryTermInterned pins the invariant they rest on: every node a
+# constructor returns is interned. All are part of the -race run above;
+# run them by name as well so a test-filtering change can never silently
+# drop them.
 go test -race -run 'TestDifferentialVerdictParity|TestPipelineFuzzDifferential' ./internal/verify/ .
+go test -race -run 'TestEveryTermInterned' ./internal/fol/
 
-# Incremental-solving parity: sessions vs one-shot solving must agree on
-# every verdict over the randomized and pipeline-fuzz distributions, and
-# mid-session aborts must degrade soundly. Also part of the -race run
-# above; pinned by name for the same reason.
+# The incremental-solving golden suites (verdicts recorded while sessions
+# and one-shot solving still ran side by side and agreed, plus the
+# multi-candidate ground-truth suite), and mid-session aborts must degrade
+# soundly. Also part of the -race run above; pinned by name for the same
+# reason.
 go test -race -run 'TestIncrementalVerdictParity|TestPipelineFuzzIncrementalParity|TestSessionAbortDegradesSoundly' ./internal/verify/ .
 
 # Memory-lifecycle parity: forced interner rotation (including concurrent
 # with in-flight workers) and a warm restart through the durable store must
-# both return verdicts identical to the unbounded cold run. Also part of
-# the -race run above; pinned by name for the same reason.
-go test -race -run 'TestForcedRotationParity|TestRotationConcurrentWithWorkers|TestWarmRestartParity' ./internal/engine/
+# both return verdicts identical to the unbounded cold run, and a store
+# written by an earlier build must still answer warm with zero solver
+# queries. Also part of the -race run above; pinned by name for the same
+# reason.
+go test -race -run 'TestForcedRotationParity|TestRotationConcurrentWithWorkers|TestWarmRestartParity|TestStoreFixtureAnswersWarm' ./internal/engine/
 go test -race -run 'TestFaultTornAppend|TestChecksumCorruptionLosesNeverFabricates' ./internal/store/
 
 # Refutation soundness: every Refuted witness must replay, no Equivalent

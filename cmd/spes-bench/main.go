@@ -8,9 +8,10 @@
 //	spes-bench -table 2 -scale 0.1  # production-workload overlap (Table 2)
 //	spes-bench -figure 7 -scale 0.1 # complexity distribution (Figure 7)
 //	spes-bench -batch -parallel 8   # engine throughput study vs sequential
-//	spes-bench -incremental         # incremental sessions vs one-shot solving
 //	spes-bench -serve               # spes-serve loadgen (req/s, p50/p99)
+//	spes-bench -warm                # cold vs warm-restart throughput
 //	spes-bench -cluster             # spes-router over 1/2/4 local shards
+//	spes-bench -constraints         # constraint tier with vs without constraints
 //	spes-bench -all                 # everything
 //
 // -parallel N fans Table 2, Figure 7, and the batch study across N engine
@@ -46,10 +47,6 @@ func main() {
 		batchOut = flag.String("batch-out", "BENCH_batch.json", "with -batch -json: artifact path for the batch report")
 		timeout  = flag.Duration("timeout", 0, "with -batch: per-pair verification deadline (0 = none)")
 		refuteB  = flag.Int("refute-budget", 0, "with -batch: counterexample-search budget per failed proof; adds refutation-rate columns (0 disables)")
-		ir       = flag.Bool("ir", false, "run the term-IR allocation study (interned vs legacy batch path)")
-		irOut    = flag.String("ir-out", "BENCH_ir.json", "with -ir -json: artifact path for the IR report")
-		incr     = flag.Bool("incremental", false, "run the incremental-solving study (sessions vs one-shot batch path)")
-		incrOut  = flag.String("incremental-out", "BENCH_incremental.json", "with -incremental -json: artifact path for the incremental report")
 		serve    = flag.Bool("serve", false, "run the spes-serve HTTP loadgen study")
 		serveN   = flag.Int("serve-requests", 500, "with -serve: requests per client-count round")
 		serveOut = flag.String("serve-out", "BENCH_serve.json", "with -serve -json: artifact path for the loadgen report")
@@ -113,35 +110,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spes-bench: wrote %s\n", *batchOut)
 		} else {
 			fmt.Print(bench.RenderBatch(rep))
-		}
-	}
-	if *all || *ir {
-		ranSomething = true
-		w := corpus.ProductionWorkload(*seed, *scale)
-		rep := bench.RunIR(w, *parallel)
-		if *asJSON {
-			out["ir"] = rep
-			if err := writeArtifact(*irOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "spes-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "spes-bench: wrote %s\n", *irOut)
-		} else {
-			fmt.Print(bench.RenderIR(rep))
-		}
-	}
-	if *all || *incr {
-		ranSomething = true
-		rep := bench.RunIncremental(*seed, 40, *parallel)
-		if *asJSON {
-			out["incremental"] = rep
-			if err := writeArtifact(*incrOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "spes-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "spes-bench: wrote %s\n", *incrOut)
-		} else {
-			fmt.Print(bench.RenderIncremental(rep))
 		}
 	}
 	if *all || *serve {

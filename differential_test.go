@@ -1,7 +1,10 @@
 package spes
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spes/internal/normalize"
@@ -9,28 +12,49 @@ import (
 	"spes/internal/verify"
 )
 
-// TestPipelineFuzzDifferential replays the whole-pipeline fuzz
-// distribution (same generator and seed as TestPipelineFuzz) through both
-// term-construction modes: the default shared-interner path and the legacy
-// tree-allocated path. Hash-consing is a representation change only, so
-// the Outcomes must match exactly on every pair — including the unproved
-// ones, where divergence would hint that interning perturbed the solver's
-// search rather than its answers.
-func TestPipelineFuzzDifferential(t *testing.T) {
+// goldenVerdict is one recorded pipeline-fuzz pair and the Outcome its
+// reference arms agreed on.
+type goldenVerdict struct {
+	Label    string `json:"label"`
+	SQL1     string `json:"sql1"`
+	SQL2     string `json:"sql2"`
+	Cardinal bool   `json:"cardinal"`
+	Full     bool   `json:"full"`
+}
+
+// checkPipelineFuzzGolden replays the whole-pipeline fuzz distribution
+// (the TestPipelineFuzz generator) from seed and holds the default
+// pipeline to the golden file's recorded Outcome for every pair, including
+// the unproved ones; -short checks a prefix. The file was written by
+// running every pair through the default path and a reference arm that
+// shared all of smt/sat/euf with it, asserting the two agreed. Self-pairs
+// keep their own ground truth: each must be proved.
+func checkPipelineFuzzGolden(t *testing.T, seed int64, file string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenVerdict
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
 	cat, err := ParseCatalog(fuzzDDL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(314159))
-	g := &fuzzGen{r: r}
-	iterations := 60
+	g := &fuzzGen{r: rand.New(rand.NewSource(seed))}
+	n := len(want)
 	if testing.Short() {
-		iterations = 15
+		n = 15
 	}
 	nz := normalize.New(normalize.Options{})
-	for iter := 0; iter < iterations; iter++ {
-		sql1 := g.query(2)
-		sql2 := g.query(2)
+	for i, w := range want[:n] {
+		sql1, sql2 := g.query(2), g.query(2)
+		if sql1 != w.SQL1 || sql2 != w.SQL2 {
+			t.Fatalf("%s record %d: generator drifted from the golden pair\ngot:  %s | %s\nwant: %s | %s",
+				file, i, sql1, sql2, w.SQL1, w.SQL2)
+		}
 		q1, err := BuildPlan(cat, sql1)
 		if err != nil {
 			t.Fatal(err)
@@ -40,20 +64,21 @@ func TestPipelineFuzzDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		n1, n2 := nz.Normalize(q1), nz.Normalize(q2)
-
-		interned := verify.NewWithConfig(verify.Config{}).Check(n1, n2)
-		legacy := verify.NewWithConfig(verify.Config{DisableInterning: true}).Check(n1, n2)
-		if interned != legacy {
-			t.Fatalf("verdict divergence between construction modes\n%s\n%s\ninterned: %+v\nlegacy:   %+v",
-				sql1, sql2, interned, legacy)
+		wantOut := verify.Outcome{Cardinal: w.Cardinal, Full: w.Full}
+		if got := verify.New().Check(n1, n2); got != wantOut {
+			t.Fatalf("%s record %d: verdict diverges from the golden file\n%s\n%s\ngot:  %+v\nwant: %+v",
+				file, i, sql1, sql2, got, wantOut)
 		}
-
-		// Self-pairs must be proved in both modes, not merely agree.
-		self := verify.NewWithConfig(verify.Config{DisableInterning: true}).Check(n1, n1)
-		if !self.Full {
-			t.Fatalf("legacy path failed to prove self-equivalence: %s", sql1)
+		if !verify.New().Check(n1, n1).Full {
+			t.Fatalf("failed to prove self-equivalence: %s", sql1)
 		}
 	}
+}
+
+// TestPipelineFuzzDifferential holds the fuzz distribution to the verdicts
+// the hash-consed and tree-allocated term constructions agreed on.
+func TestPipelineFuzzDifferential(t *testing.T) {
+	checkPipelineFuzzGolden(t, 314159, "pipeline_fuzz_differential.golden.json")
 }
 
 // TestRefutationDifferential is the acceptance check for the three-valued

@@ -1,56 +1,10 @@
 package spes
 
-import (
-	"math/rand"
-	"testing"
+import "testing"
 
-	"spes/internal/normalize"
-	"spes/internal/verify"
-)
-
-// TestPipelineFuzzIncrementalParity replays the whole-pipeline fuzz
-// distribution (same generator as TestPipelineFuzz) through both solving
-// modes: the default incremental sessions and one-shot solving
-// (Config.DisableIncremental). Assumption-based push/pop is a solving
-// strategy change only, so the Outcomes must match exactly on every pair —
-// including the unproved ones, where divergence would hint that session
-// state leaked into an answer rather than only into saved work.
+// TestPipelineFuzzIncrementalParity holds the fuzz distribution (a second
+// seed) to the verdicts incremental sessions and one-shot solving agreed
+// on; see checkPipelineFuzzGolden.
 func TestPipelineFuzzIncrementalParity(t *testing.T) {
-	cat, err := ParseCatalog(fuzzDDL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(602214))
-	g := &fuzzGen{r: r}
-	iterations := 60
-	if testing.Short() {
-		iterations = 15
-	}
-	nz := normalize.New(normalize.Options{})
-	for iter := 0; iter < iterations; iter++ {
-		sql1 := g.query(2)
-		sql2 := g.query(2)
-		q1, err := BuildPlan(cat, sql1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q2, err := BuildPlan(cat, sql2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n1, n2 := nz.Normalize(q1), nz.Normalize(q2)
-
-		incremental := verify.NewWithConfig(verify.Config{}).Check(n1, n2)
-		oneShot := verify.NewWithConfig(verify.Config{DisableIncremental: true}).Check(n1, n2)
-		if incremental != oneShot {
-			t.Fatalf("verdict divergence between solving modes\n%s\n%s\nincremental: %+v\none-shot:    %+v",
-				sql1, sql2, incremental, oneShot)
-		}
-
-		// Self-pairs must be proved in both modes, not merely agree.
-		self := verify.NewWithConfig(verify.Config{DisableIncremental: true}).Check(n1, n1)
-		if !self.Full {
-			t.Fatalf("one-shot solving failed to prove self-equivalence: %s", sql1)
-		}
-	}
+	checkPipelineFuzzGolden(t, 602214, "pipeline_fuzz_incremental_parity.golden.json")
 }

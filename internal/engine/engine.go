@@ -120,16 +120,6 @@ type Options struct {
 	// MaxCandidates caps VeriVec's bijection search per vector pair
 	// (0 = verifier default).
 	MaxCandidates int
-	// DisableInterning builds all solver terms through the legacy
-	// tree-allocating constructors instead of the shared hash-consing
-	// interner. Verdicts are identical either way; the switch feeds the
-	// differential parity suite and the allocation benchmarks' baseline.
-	DisableInterning bool
-	// DisableIncremental makes every verifier solve obligations with
-	// one-shot solver calls instead of prefix-sharing incremental sessions.
-	// Verdicts are identical either way; the switch feeds the incremental
-	// parity suite and the incremental benchmark's baseline.
-	DisableIncremental bool
 	// TermNodeHighWater, when > 0, bounds the shared term DAG: once the
 	// interner holds at least this many nodes, the engine opens a new
 	// interner epoch — workers that start after the rotation build through
@@ -260,13 +250,12 @@ type BatchStats struct {
 	ModelRounds    int
 
 	// TermNodes is the size of the shared hash-consed term DAG when the
-	// batch finished (0 when interning is disabled). With rotation enabled
-	// this is the CURRENT epoch's node count — the number the process's
-	// live term memory is proportional to — not a lifetime total.
+	// batch finished. With rotation enabled this is the CURRENT epoch's
+	// node count — the number the process's live term memory is
+	// proportional to — not a lifetime total.
 	TermNodes int64
 	// InternerEpochs counts interner epochs opened over the engine's
-	// lifetime (1 for an interning run that never rotated; 0 with
-	// interning disabled).
+	// lifetime (1 for a run that never rotated).
 	InternerEpochs int64
 	// StoreHits / StoreMisses count obligations answered by (or absent
 	// from) the durable verdict store.
@@ -415,11 +404,10 @@ type Shared struct {
 	// every worker's Normalizer (nil when caching is disabled).
 	sat *satTable
 
-	// in is the term interner every worker's Verifier builds through (nil
-	// when interning is disabled). Sharing it across workers means each
-	// distinct term is allocated once per batch — or once per engine
-	// lifetime for the persistent form — and obligation-cache keys derive
-	// from its IDs in O(1). It is an atomic pointer because epoch rotation
+	// in is the term interner every worker's Verifier builds through.
+	// Sharing it across workers means each distinct term is allocated once
+	// per batch — or once per engine lifetime for the persistent form —
+	// and obligation-cache keys derive from its IDs in O(1). It is an atomic pointer because epoch rotation
 	// (maybeRotate) swaps it while workers are reading; overlays do not
 	// hold their own copy but delegate to the root (interner()), so a
 	// rotation is visible to every layer at once. rotMu serializes the
@@ -435,8 +423,7 @@ type Shared struct {
 }
 
 // interner returns the engine's current-epoch interner, delegating to the
-// root Shared so batch overlays observe rotations immediately. Nil when
-// interning is disabled.
+// root Shared so batch overlays observe rotations immediately.
 func (s *Shared) interner() *fol.Interner {
 	if s.parent != nil {
 		return s.parent.interner()
@@ -470,7 +457,7 @@ func (s *Shared) maybeRotate() {
 		return
 	}
 	cur := s.in.Load()
-	if cur == nil || cur.Len() < hw {
+	if cur.Len() < hw {
 		return
 	}
 	s.rotMu.Lock()
@@ -608,9 +595,8 @@ type StatsSnapshot struct {
 
 	// TermNodes is the size of the shared term DAG (distinct interned
 	// nodes) in the CURRENT interner epoch — the number the process's live
-	// term memory is proportional to; 0 when interning is disabled.
-	// InternerEpochs counts epochs opened (1 until the first rotation; 0
-	// with interning disabled), so epoch-aware dashboards can tell "the
+	// term memory is proportional to. InternerEpochs counts epochs opened
+	// (1 until the first rotation), so epoch-aware dashboards can tell "the
 	// gauge fell because we rotated" from "the workload shrank".
 	TermNodes      int64 `json:"term_nodes"`
 	InternerEpochs int64 `json:"interner_epochs"`
@@ -672,10 +658,8 @@ func (s *Shared) Snapshot() StatsSnapshot {
 	if s.cache != nil {
 		snap.ObligationHits, snap.ObligationMisses = s.cache.Counters()
 	}
-	if in := s.interner(); in != nil {
-		snap.TermNodes = int64(in.Len())
-		snap.InternerEpochs = 1 + s.root().ctr.epochs.Load()
-	}
+	snap.TermNodes = int64(s.interner().Len())
+	snap.InternerEpochs = 1 + s.root().ctr.epochs.Load()
 	return snap
 }
 
@@ -685,9 +669,7 @@ func (s *Shared) Snapshot() StatsSnapshot {
 // not echoed into the log again.
 func NewShared(opts Options) *Shared {
 	s := &Shared{opts: opts}
-	if !opts.DisableInterning {
-		s.in.Store(fol.NewInterner())
-	}
+	s.in.Store(fol.NewInterner())
 	if opts.ShareLemmas {
 		s.lemmas = smt.NewLemmaPool()
 		if opts.Store != nil {
@@ -888,13 +870,11 @@ const DefaultWatchdogGrace = 2 * time.Second
 // so a solver stuck past deadline-plus-grace cannot pin the worker.
 func (w *Worker) check(ctx context.Context, q1, q2 plan.Node) Result {
 	cfg := verify.Config{
-		MaxCandidates:      w.shared.opts.MaxCandidates,
-		Interner:           w.shared.interner(),
-		DisableInterning:   w.shared.opts.DisableInterning,
-		DisableIncremental: w.shared.opts.DisableIncremental,
-		Lemmas:             w.shared.root().lemmas,
-		RefuteBudget:       w.shared.opts.RefuteBudget,
-		ConstraintDigest:   w.shared.opts.ConstraintDigest,
+		MaxCandidates:    w.shared.opts.MaxCandidates,
+		Interner:         w.shared.interner(),
+		Lemmas:           w.shared.root().lemmas,
+		RefuteBudget:     w.shared.opts.RefuteBudget,
+		ConstraintDigest: w.shared.opts.ConstraintDigest,
 	}
 	if w.shared.cache != nil {
 		cfg.Cache = w.shared.cache

@@ -39,9 +39,12 @@ type Verifier struct {
 
 // New returns a fresh verifier.
 func New() *Verifier {
-	g := symbolic.NewGen()
+	in := fol.NewInterner()
+	g := symbolic.NewGen(in)
+	s := smt.New()
+	s.Interner = in
 	return &Verifier{
-		solver:    smt.New(),
+		solver:    s,
 		gen:       g,
 		enc:       symbolic.NewEncoder(g),
 		tableVars: make(map[string][]symbolic.Tuple),
@@ -250,6 +253,7 @@ func (v *Verifier) deriveAgg(a *plan.Agg) ([]*sr, error) {
 		keyTerms = append(keyTerms, c.Val, c.Null)
 	}
 	assigns := []*fol.Term{in.assign, v.enc.TakeAssigns()}
+	terms := v.gen.Interner()
 	for _, f := range a.Aggs {
 		args := append([]*fol.Term{}, keyTerms...)
 		if f.Arg != nil {
@@ -266,8 +270,8 @@ func (v *Verifier) deriveAgg(a *plan.Agg) ([]*sr, error) {
 			name += "$d"
 		}
 		out = append(out, symbolic.Col{
-			Val:  fol.App(name, fol.SortNum, args...),
-			Null: fol.App(name+"$null", fol.SortBool, args...),
+			Val:  terms.App(name, fol.SortNum, args...),
+			Null: terms.App(name+"$null", fol.SortBool, args...),
 		})
 	}
 	return []*sr{{cols: out, cond: in.cond, assign: fol.And(assigns...)}}, nil

@@ -7,41 +7,46 @@ import (
 	"testing/quick"
 )
 
+// ti is the interner the package's unit tests mint their leaves in.
+var ti = NewInterner()
+
 func TestConstructorsFoldConstants(t *testing.T) {
 	cases := []struct {
 		name string
 		got  *Term
 		want *Term
 	}{
-		{"add-consts", Add(Int(2), Int(3)), Int(5)},
-		{"add-zero", Add(NumVar("x"), Int(0)), NumVar("x")},
-		{"add-empty", Add(), Int(0)},
-		{"mul-consts", Mul(Int(2), Int(3)), Int(6)},
-		{"mul-zero", Mul(NumVar("x"), Int(0)), Int(0)},
-		{"mul-one", Mul(NumVar("x"), Int(1)), NumVar("x")},
-		{"neg-const", Neg(Int(4)), Int(-4)},
-		{"neg-neg", Neg(Neg(NumVar("x"))), NumVar("x")},
-		{"sub-self", Sub(NumVar("x"), NumVar("x")), Int(0)},
-		{"div-const", Div(NumVar("x"), Int(2)), Mul(Num(big.NewRat(1, 2)), NumVar("x"))},
-		{"eq-consts-true", Eq(Int(3), Int(3)), True()},
-		{"eq-consts-false", Eq(Int(3), Int(4)), False()},
-		{"eq-self", Eq(NumVar("x"), NumVar("x")), True()},
-		{"le-consts", Le(Int(3), Int(4)), True()},
-		{"lt-self", Lt(NumVar("x"), NumVar("x")), False()},
+		{"add-consts", Add(ti.Int(2), ti.Int(3)), ti.Int(5)},
+		{"add-zero", Add(ti.NumVar("x"), ti.Int(0)), ti.NumVar("x")},
+		// Every summand cancels, leaving the empty linear combination. (An
+		// argument-less Add has no interner to own its zero.)
+		{"add-empty", Add(Add(ti.NumVar("x"), ti.NumVar("y")), Neg(Add(ti.NumVar("y"), ti.NumVar("x")))), ti.Int(0)},
+		{"mul-consts", Mul(ti.Int(2), ti.Int(3)), ti.Int(6)},
+		{"mul-zero", Mul(ti.NumVar("x"), ti.Int(0)), ti.Int(0)},
+		{"mul-one", Mul(ti.NumVar("x"), ti.Int(1)), ti.NumVar("x")},
+		{"neg-const", Neg(ti.Int(4)), ti.Int(-4)},
+		{"neg-neg", Neg(Neg(ti.NumVar("x"))), ti.NumVar("x")},
+		{"sub-self", Sub(ti.NumVar("x"), ti.NumVar("x")), ti.Int(0)},
+		{"div-const", Div(ti.NumVar("x"), ti.Int(2)), Mul(ti.Num(big.NewRat(1, 2)), ti.NumVar("x"))},
+		{"eq-consts-true", Eq(ti.Int(3), ti.Int(3)), True()},
+		{"eq-consts-false", Eq(ti.Int(3), ti.Int(4)), False()},
+		{"eq-self", Eq(ti.NumVar("x"), ti.NumVar("x")), True()},
+		{"le-consts", Le(ti.Int(3), ti.Int(4)), True()},
+		{"lt-self", Lt(ti.NumVar("x"), ti.NumVar("x")), False()},
 		{"not-true", Not(True()), False()},
-		{"not-not", Not(Not(BoolVar("p"))), BoolVar("p")},
-		{"and-true-unit", And(BoolVar("p"), True()), BoolVar("p")},
-		{"and-false-zero", And(BoolVar("p"), False()), False()},
-		{"and-dedupe", And(BoolVar("p"), BoolVar("p")), BoolVar("p")},
-		{"and-complement", And(BoolVar("p"), Not(BoolVar("p"))), False()},
-		{"or-true-zero", Or(BoolVar("p"), True()), True()},
-		{"or-complement", Or(BoolVar("p"), Not(BoolVar("p"))), True()},
-		{"iff-self", Iff(BoolVar("p"), BoolVar("p")), True()},
-		{"iff-true", Iff(True(), BoolVar("p")), BoolVar("p")},
-		{"iff-false", Iff(False(), BoolVar("p")), Not(BoolVar("p"))},
-		{"ite-const-cond", Ite(True(), Int(1), Int(2)), Int(1)},
-		{"ite-same-branches", Ite(BoolVar("p"), Int(1), Int(1)), Int(1)},
-		{"implies-desugar", Implies(BoolVar("p"), BoolVar("q")), Or(Not(BoolVar("p")), BoolVar("q"))},
+		{"not-not", Not(Not(ti.BoolVar("p"))), ti.BoolVar("p")},
+		{"and-true-unit", And(ti.BoolVar("p"), True()), ti.BoolVar("p")},
+		{"and-false-zero", And(ti.BoolVar("p"), False()), False()},
+		{"and-dedupe", And(ti.BoolVar("p"), ti.BoolVar("p")), ti.BoolVar("p")},
+		{"and-complement", And(ti.BoolVar("p"), Not(ti.BoolVar("p"))), False()},
+		{"or-true-zero", Or(ti.BoolVar("p"), True()), True()},
+		{"or-complement", Or(ti.BoolVar("p"), Not(ti.BoolVar("p"))), True()},
+		{"iff-self", Iff(ti.BoolVar("p"), ti.BoolVar("p")), True()},
+		{"iff-true", Iff(True(), ti.BoolVar("p")), ti.BoolVar("p")},
+		{"iff-false", Iff(False(), ti.BoolVar("p")), Not(ti.BoolVar("p"))},
+		{"ite-const-cond", Ite(True(), ti.Int(1), ti.Int(2)), ti.Int(1)},
+		{"ite-same-branches", Ite(ti.BoolVar("p"), ti.Int(1), ti.Int(1)), ti.Int(1)},
+		{"implies-desugar", Implies(ti.BoolVar("p"), ti.BoolVar("q")), Or(Not(ti.BoolVar("p")), ti.BoolVar("q"))},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -53,7 +58,7 @@ func TestConstructorsFoldConstants(t *testing.T) {
 }
 
 func TestNotRewritesComparisons(t *testing.T) {
-	x, y := NumVar("x"), NumVar("y")
+	x, y := ti.NumVar("x"), ti.NumVar("y")
 	if got := Not(Le(x, y)); !got.Equal(Lt(y, x)) {
 		t.Errorf("Not(x<=y) = %v, want y<x", got)
 	}
@@ -63,17 +68,17 @@ func TestNotRewritesComparisons(t *testing.T) {
 }
 
 func TestEqCanonicalOrder(t *testing.T) {
-	x, y := NumVar("x"), NumVar("y")
+	x, y := ti.NumVar("x"), ti.NumVar("y")
 	if Eq(x, y).Key() != Eq(y, x).Key() {
 		t.Errorf("Eq is not canonically ordered: %v vs %v", Eq(x, y), Eq(y, x))
 	}
-	if Iff(BoolVar("p"), BoolVar("q")).Key() != Iff(BoolVar("q"), BoolVar("p")).Key() {
+	if Iff(ti.BoolVar("p"), ti.BoolVar("q")).Key() != Iff(ti.BoolVar("q"), ti.BoolVar("p")).Key() {
 		t.Error("Iff is not canonically ordered")
 	}
 }
 
 func TestBoolIteExpands(t *testing.T) {
-	p, a, b := BoolVar("p"), BoolVar("a"), BoolVar("b")
+	p, a, b := ti.BoolVar("p"), ti.BoolVar("a"), ti.BoolVar("b")
 	got := Ite(p, a, b)
 	want := Or(And(p, a), And(Not(p), b))
 	if !got.Equal(want) {
@@ -82,30 +87,30 @@ func TestBoolIteExpands(t *testing.T) {
 }
 
 func TestSubst(t *testing.T) {
-	x, y := NumVar("x"), NumVar("y")
-	f := And(Lt(x, Int(5)), Eq(y, Add(x, Int(1))))
-	got := Subst(f, map[string]*Term{"x": Int(2)})
-	want := And(Lt(Int(2), Int(5)), Eq(y, Int(3)))
+	x, y := ti.NumVar("x"), ti.NumVar("y")
+	f := And(Lt(x, ti.Int(5)), Eq(y, Add(x, ti.Int(1))))
+	got := Subst(f, map[string]*Term{"x": ti.Int(2)})
+	want := And(Lt(ti.Int(2), ti.Int(5)), Eq(y, ti.Int(3)))
 	if !got.Equal(want) {
 		t.Errorf("subst got %v, want %v", got, want)
 	}
 	// Folding should kick in: Lt(2,5) is true, so the conjunct vanishes.
-	if !got.Equal(Eq(y, Int(3))) {
+	if !got.Equal(Eq(y, ti.Int(3))) {
 		t.Errorf("subst did not fold: %v", got)
 	}
 }
 
 func TestRenameVars(t *testing.T) {
-	f := And(BoolVar("p"), Lt(NumVar("x"), NumVar("y")))
+	f := And(ti.BoolVar("p"), Lt(ti.NumVar("x"), ti.NumVar("y")))
 	got := RenameVars(f, func(n string) string { return n + "'" })
-	want := And(BoolVar("p'"), Lt(NumVar("x'"), NumVar("y'")))
+	want := And(ti.BoolVar("p'"), Lt(ti.NumVar("x'"), ti.NumVar("y'")))
 	if !got.Equal(want) {
 		t.Errorf("rename got %v, want %v", got, want)
 	}
 }
 
 func TestVars(t *testing.T) {
-	f := And(BoolVar("p"), Lt(NumVar("x"), Add(NumVar("x"), NumVar("y"))))
+	f := And(ti.BoolVar("p"), Lt(ti.NumVar("x"), Add(ti.NumVar("x"), ti.NumVar("y"))))
 	vs := Vars(f)
 	if len(vs) != 3 {
 		t.Fatalf("got %d vars, want 3: %v", len(vs), vs)
@@ -122,10 +127,10 @@ func TestVars(t *testing.T) {
 }
 
 func TestTupleEq(t *testing.T) {
-	a := []*Term{NumVar("x"), BoolVar("p")}
-	b := []*Term{NumVar("y"), BoolVar("q")}
+	a := []*Term{ti.NumVar("x"), ti.BoolVar("p")}
+	b := []*Term{ti.NumVar("y"), ti.BoolVar("q")}
 	got := TupleEq(a, b)
-	want := And(Eq(NumVar("x"), NumVar("y")), Iff(BoolVar("p"), BoolVar("q")))
+	want := And(Eq(ti.NumVar("x"), ti.NumVar("y")), Iff(ti.BoolVar("p"), ti.BoolVar("q")))
 	if !got.Equal(want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
@@ -187,9 +192,9 @@ var genBoolVars = []string{"p", "q"}
 func (g *termGen) numTerm(depth int) *Term {
 	if depth == 0 || g.r.Intn(3) == 0 {
 		if g.r.Intn(2) == 0 {
-			return NumVar(genNumVars[g.r.Intn(len(genNumVars))])
+			return ti.NumVar(genNumVars[g.r.Intn(len(genNumVars))])
 		}
-		return Int(int64(g.r.Intn(7) - 3))
+		return ti.Int(int64(g.r.Intn(7) - 3))
 	}
 	switch g.r.Intn(4) {
 	case 0:
@@ -199,7 +204,7 @@ func (g *termGen) numTerm(depth int) *Term {
 	case 2:
 		return Neg(g.numTerm(depth - 1))
 	default:
-		return Mul(Int(int64(g.r.Intn(5)-2)), g.numTerm(depth-1))
+		return Mul(ti.Int(int64(g.r.Intn(5)-2)), g.numTerm(depth-1))
 	}
 }
 
@@ -207,7 +212,7 @@ func (g *termGen) boolTerm(depth int) *Term {
 	if depth == 0 || g.r.Intn(4) == 0 {
 		switch g.r.Intn(4) {
 		case 0:
-			return BoolVar(genBoolVars[g.r.Intn(len(genBoolVars))])
+			return ti.BoolVar(genBoolVars[g.r.Intn(len(genBoolVars))])
 		case 1:
 			return Bool(g.r.Intn(2) == 0)
 		case 2:
@@ -242,7 +247,7 @@ func (g *termGen) randomInterp(r *rand.Rand) Interp {
 }
 
 func TestSizeAndWalk(t *testing.T) {
-	f := And(BoolVar("p"), Lt(NumVar("x"), Int(3)))
+	f := And(ti.BoolVar("p"), Lt(ti.NumVar("x"), ti.Int(3)))
 	if got := Size(f); got != 5 {
 		t.Errorf("Size = %d, want 5 for %v", got, f)
 	}

@@ -7,10 +7,8 @@ import (
 )
 
 var (
-	// The boolean singletons are shared by every goroutine in the process,
-	// so their lazily-memoized canonical keys are pre-computed here: a
-	// first Key() call from two goroutines at once would otherwise race on
-	// the key field.
+	// The boolean singletons belong to every interner at once, so their
+	// canonical keys are set here rather than at intern time.
 	termTrue  = &Term{Kind: KTrue, Sort: SortBool, key: "true"}
 	termFalse = &Term{Kind: KFalse, Sort: SortBool, key: "false"}
 	ratZero   = new(big.Rat)
@@ -29,25 +27,6 @@ func Bool(v bool) *Term {
 		return termTrue
 	}
 	return termFalse
-}
-
-// NumVar returns a numeric variable named name.
-func NumVar(name string) *Term { return &Term{Kind: KVar, Sort: SortNum, Name: name} }
-
-// BoolVar returns a boolean variable named name.
-func BoolVar(name string) *Term { return &Term{Kind: KVar, Sort: SortBool, Name: name} }
-
-// Var returns a variable of the given sort.
-func Var(name string, s Sort) *Term { return &Term{Kind: KVar, Sort: s, Name: name} }
-
-// Num returns a numeric constant with value r. The rational is copied.
-func Num(r *big.Rat) *Term {
-	return &Term{Kind: KNum, Sort: SortNum, Rat: new(big.Rat).Set(r)}
-}
-
-// Int returns a numeric constant with integer value v.
-func Int(v int64) *Term {
-	return &Term{Kind: KNum, Sort: SortNum, Rat: big.NewRat(v, 1)}
 }
 
 // Add returns the sum of ts as a normalized linear combination: nested sums
@@ -175,7 +154,7 @@ func Mul(ts ...*Term) *Term {
 // by the solver).
 func Div(a, b *Term) *Term {
 	if b.Kind == KNum && b.Rat.Sign() != 0 {
-		return Mul(a, Num(new(big.Rat).Inv(b.Rat)))
+		return Mul(a, b.in.Num(new(big.Rat).Inv(b.Rat)))
 	}
 	return ownerOf2(a, b).adopt(&Term{Kind: KDiv, Sort: SortNum, Args: []*Term{a, b}})
 }
@@ -251,7 +230,6 @@ func And(ts ...*Term) *Term { return nary(KAnd, ts) }
 func Or(ts ...*Term) *Term { return nary(KOr, ts) }
 
 func nary(k Kind, ts []*Term) *Term {
-	owner := ownerOf(ts)
 	unit, zero := termTrue, termFalse
 	if k == KOr {
 		unit, zero = termFalse, termTrue
@@ -296,7 +274,7 @@ func nary(k Kind, ts []*Term) *Term {
 	case 1:
 		return args[0]
 	}
-	return owner.adopt(&Term{Kind: k, Sort: SortBool, Args: args})
+	return ownerOf(args).adopt(&Term{Kind: k, Sort: SortBool, Args: args})
 }
 
 // Implies returns a => b, represented as ¬a ∨ b.
@@ -343,20 +321,7 @@ func Ite(cond, then, els *Term) *Term {
 	if then.Sort == SortBool {
 		return Or(And(cond, then), And(Not(cond), els))
 	}
-	owner := ownerOf2(cond, then)
-	if owner == nil {
-		owner = els.in
-	}
-	return owner.adopt(&Term{Kind: KIte, Sort: SortNum, Args: []*Term{cond, then, els}})
-}
-
-// App returns an uninterpreted function application with the given result
-// sort. A zero-argument application is an uninterpreted constant. Like all
-// composite constructors, App interns its result when any argument is
-// interned; a zero-argument application has nothing to infect from, so
-// interned code paths call Interner.App instead.
-func App(name string, s Sort, args ...*Term) *Term {
-	return ownerOf(args).adopt(&Term{Kind: KApp, Sort: s, Name: name, Args: args})
+	return ownerOf2(cond, then).adopt(&Term{Kind: KIte, Sort: SortNum, Args: []*Term{cond, then, els}})
 }
 
 // TupleEq returns the conjunction of element-wise equalities between two

@@ -1,5 +1,7 @@
 package fol
 
+import "fmt"
+
 // Walk calls fn for t and every sub-term of t, pre-order. If fn returns
 // false, the sub-terms of the current term are skipped.
 func Walk(t *Term, fn func(*Term) bool) {
@@ -94,6 +96,13 @@ func rebuild(t *Term, leaf func(*Term) (*Term, bool)) *Term {
 	if !changed {
 		return t
 	}
+	return WithArgs(t, args)
+}
+
+// WithArgs rebuilds t over new arguments through the smart constructors,
+// so folding invariants are restored. Leaves have no arguments to replace
+// and must not be passed.
+func WithArgs(t *Term, args []*Term) *Term {
 	switch t.Kind {
 	case KAdd:
 		return Add(args...)
@@ -120,9 +129,9 @@ func rebuild(t *Term, leaf func(*Term) (*Term, bool)) *Term {
 	case KIte:
 		return Ite(args[0], args[1], args[2])
 	case KApp:
-		return App(t.Name, t.Sort, args...)
+		return t.in.App(t.Name, t.Sort, args...)
 	}
-	return ownerOf(args).adopt(&Term{Kind: t.Kind, Sort: t.Sort, Name: t.Name, Rat: t.Rat, Args: args})
+	panic(fmt.Sprintf("fol: WithArgs on unexpected kind %v", t.Kind))
 }
 
 // Size returns the number of nodes in t.

@@ -50,7 +50,11 @@ type SatCache interface {
 type Normalizer struct {
 	opts   Options
 	solver *smt.Solver
-	enc    *symbolic.Encoder
+	// enc builds predSatisfiable's formulas. It is created on the first
+	// satisfiability-cache miss, together with the interner its generator
+	// and the solver share, so a Normalizer whose lookups all hit never
+	// allocates a term.
+	enc *symbolic.Encoder
 	// satCache memoizes predicate satisfiability by canonical form.
 	satCache map[string]bool
 	// shared is an optional cross-Normalizer satisfiability cache; the
@@ -64,7 +68,6 @@ func New(opts Options) *Normalizer {
 	return &Normalizer{
 		opts:     opts,
 		solver:   smt.New(),
-		enc:      symbolic.NewEncoder(symbolic.NewGen()),
 		satCache: make(map[string]bool),
 	}
 }
@@ -303,6 +306,11 @@ func (nz *Normalizer) predSatisfiable(s *plan.SPJ) bool {
 			nz.satCache[key] = v
 			return v
 		}
+	}
+	if nz.enc == nil {
+		terms := fol.NewInterner()
+		nz.enc = symbolic.NewEncoder(symbolic.NewGen(terms))
+		nz.solver.Interner = terms
 	}
 	// nnTag holds one byte per input column in flat tuple order, so index i
 	// addresses in[i] directly.

@@ -13,11 +13,9 @@ import (
 // detection. Numeric and boolean constants carry distinct interpretations:
 // merging two classes holding different constants is a conflict.
 //
-// Node identity keys on interned term IDs: the solver path hands the engine
-// terms already interned in the solver's interner, so registration is a
-// uint32 map hit; legacy terms (direct unit-test use) are adopted into a
-// lazily created private interner, which preserves the old key-string
-// semantics at the cost of one structural intern per term.
+// Node identity keys on interned term IDs: the engine is bound to the
+// solver's interner, and the terms it is handed are already interned there,
+// so registration is a uint32 map hit.
 type euf struct {
 	in       *fol.Interner
 	ids      map[uint32]int // term ID -> node
@@ -94,12 +92,9 @@ func (e *euf) undo(m eufMark) {
 	e.recording = false
 }
 
-func newEUF() *euf { return newEUFIn(nil) }
-
-// newEUFIn binds the engine to an interner so that already-interned terms
-// register without re-interning; nil defers to a private interner created
-// on first use.
-func newEUFIn(in *fol.Interner) *euf {
+// newEUF returns an engine bound to in, so that terms already interned
+// there register without re-interning.
+func newEUF(in *fol.Interner) *euf {
 	return &euf{in: in, ids: make(map[uint32]int), sigs: make(map[string]int)}
 }
 
@@ -136,11 +131,6 @@ func constTag(t *fol.Term) string {
 
 // node registers t (and its subterms) and returns its node id.
 func (e *euf) node(t *fol.Term) int {
-	if e.in == nil {
-		if e.in = t.Owner(); e.in == nil {
-			e.in = fol.NewInterner()
-		}
-	}
 	t = e.in.Intern(t)
 	if id, ok := e.ids[t.ID()]; ok {
 		return id
@@ -306,9 +296,6 @@ func (e *euf) equal(t1, t2 *fol.Term) bool {
 
 // lookup returns the node id for t without registering it.
 func (e *euf) lookup(t *fol.Term) (int, bool) {
-	if e.in == nil {
-		return 0, false
-	}
 	id, ok := e.ids[e.in.Intern(t).ID()]
 	return id, ok
 }

@@ -10,7 +10,7 @@ import (
 // key k is the interned term ID of an "opaque" term the arithmetic theory
 // treats as a variable: a plain numeric variable, an uninterpreted
 // application, a non-linear product, or a symbolic division. All terms in
-// one linForm must share an interner (theoryCheckExplain interns its
+// one linForm must share an interner (theoryCheckExplainOn interns its
 // literals up front), or IDs would not identify terms.
 type linForm struct {
 	coeffs map[uint32]*big.Rat

@@ -87,11 +87,12 @@ type Solver struct {
 	// interns its input on entry, so the whole pipeline (ITE lifting, NNF,
 	// case splitting, CNF encoding, congruence closure, simplex) operates
 	// on one shared DAG and keys its maps on dense term IDs instead of
-	// canonical strings. Callers that already build through an interner
-	// (the verify layer) should set this to the same interner so entry
-	// interning is a pointer check; when nil, CheckSat creates a private
-	// one on first use. Interning preserves formula structure exactly, so
-	// verdicts are independent of which interner terms arrive in.
+	// canonical strings. Callers should set this to the interner their
+	// formulas are built in (verify, normalize, and equitas all do) so
+	// entry interning is a pointer check; when nil, the solver creates its
+	// own on first use and copies each input into it. Interning preserves
+	// formula structure exactly, so verdicts are independent of which
+	// interner terms arrive in.
 	Interner *fol.Interner
 	// SharedLemmas, when non-nil, is a cross-pair (and, through its sink,
 	// cross-process) theory-lemma pool: every blocked core this solver
@@ -101,15 +102,6 @@ type Solver struct {
 	// round-trip through the durable store. See LemmaPool for the
 	// soundness argument.
 	SharedLemmas *LemmaPool
-	// NoTheoryCache disables the ID-keyed theory-translation cache (see
-	// theoryCache), making every theory check re-derive its linear forms
-	// from scratch. The legacy construction mode (verify's
-	// DisableInterning) sets this to reproduce the pre-interning
-	// pipeline's behavior end to end; it is also the honest baseline for
-	// the allocation benchmarks. Caching cannot change verdicts — the
-	// cached value is a pure function of the two terms — so this is a
-	// performance switch, not a semantics switch.
-	NoTheoryCache bool
 
 	Stats Stats
 
@@ -148,7 +140,7 @@ func (s *Solver) ensureSetup() {
 	if s.Interner == nil {
 		s.Interner = fol.NewInterner()
 	}
-	if !s.NoTheoryCache && (s.tc == nil || s.tc.in != s.Interner) {
+	if s.tc == nil || s.tc.in != s.Interner {
 		s.tc = newTheoryCache(s.Interner)
 	}
 }
@@ -233,22 +225,6 @@ func replaceConjunct(f, old, repl *fol.Term) *fol.Term {
 	return fol.And(args...)
 }
 
-// checkOne solves a single already-lifted case one-shot, on the same
-// instance machinery the session path uses.
-func (s *Solver) checkOne(f *fol.Term) Result {
-	switch f.Kind {
-	case fol.KTrue:
-		return Sat
-	case fol.KFalse:
-		return Unsat
-	}
-	// Sessions intern on entry, making this a pointer check; it matters
-	// only for callers (tests) that drive checkOne directly.
-	s.ensureSetup()
-	f = s.Interner.Intern(f)
-	return s.run(s.newCaseInstance(f))
-}
-
 // newCaseInstance builds the per-case solver state: a CDCL instance wired
 // to the solver's budgets and abort hook, a persistent congruence engine,
 // and — unless the case is the trivial ⊤ — the encoded root constraint
@@ -257,7 +233,7 @@ func (s *Solver) newCaseInstance(c *fol.Term) *instance {
 	in := newInstance()
 	in.sat.MaxConflicts = s.MaxSATConflicts
 	in.sat.Stop = s.aborted
-	in.theory = newEUFIn(s.Interner)
+	in.theory = newEUF(s.Interner)
 	in.shared = s.SharedLemmas
 	if c.Kind != fol.KTrue {
 		in.sat.AddClause(in.encode(c))
@@ -513,7 +489,7 @@ func (s *Solver) liftIteInto(memo map[*fol.Term]*fol.Term, f *fol.Term) (*fol.Te
 		}
 		cur := t
 		if changed {
-			cur = rebuildWith(t, args)
+			cur = fol.WithArgs(t, args)
 		}
 		if cur.Kind == fol.KIte && cur.Sort == fol.SortNum {
 			if v, ok := memo[cur]; ok {
@@ -531,40 +507,4 @@ func (s *Solver) liftIteInto(memo map[*fol.Term]*fol.Term, f *fol.Term) (*fol.Te
 		return cur
 	}
 	return rec(f), defs
-}
-
-// rebuildWith reconstructs a term with new arguments through the smart
-// constructors.
-func rebuildWith(t *fol.Term, args []*fol.Term) *fol.Term {
-	switch t.Kind {
-	case fol.KAdd:
-		return fol.Add(args...)
-	case fol.KMul:
-		return fol.Mul(args...)
-	case fol.KNeg:
-		return fol.Neg(args[0])
-	case fol.KDiv:
-		return fol.Div(args[0], args[1])
-	case fol.KEq:
-		return fol.Eq(args[0], args[1])
-	case fol.KLe:
-		return fol.Le(args[0], args[1])
-	case fol.KLt:
-		return fol.Lt(args[0], args[1])
-	case fol.KNot:
-		return fol.Not(args[0])
-	case fol.KAnd:
-		return fol.And(args...)
-	case fol.KOr:
-		return fol.Or(args...)
-	case fol.KIff:
-		return fol.Iff(args[0], args[1])
-	case fol.KIte:
-		return fol.Ite(args[0], args[1], args[2])
-	case fol.KApp:
-		return fol.App(t.Name, t.Sort, args...)
-	}
-	// Every kind with arguments is enumerated above; leaves never reach
-	// rebuildWith (callers only rebuild when len(Args) > 0).
-	panic(fmt.Sprintf("smt: rebuildWith on unexpected kind %v", t.Kind))
 }

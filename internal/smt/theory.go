@@ -50,13 +50,8 @@ func newTheoryCache(in *fol.Interner) *theoryCache {
 	return &theoryCache{in: in, diffs: make(map[uint64]*linForm)}
 }
 
-// diff returns linearize(a) − linearize(b), memoized when the cache is
-// live. A nil receiver (legacy mode, or atoms from a foreign interner)
-// computes it fresh, exactly as the pre-interning pipeline did.
+// diff returns linearize(a) − linearize(b), memoized per term-ID pair.
 func (tc *theoryCache) diff(a, b *fol.Term) *linForm {
-	if tc == nil {
-		return diff(a, b)
-	}
 	k := uint64(a.ID())<<32 | uint64(b.ID())
 	if f, ok := tc.diffs[k]; ok {
 		return f
@@ -66,59 +61,38 @@ func (tc *theoryCache) diff(a, b *fol.Term) *linForm {
 	return f
 }
 
-// theoryCheck decides whether a conjunction of theory literals is consistent
-// in the combination of linear rational arithmetic and uninterpreted
-// functions. It runs congruence closure and simplex to a shared fixpoint,
-// exchanging equalities between them (both theories are convex, so equality
-// propagation suffices for completeness of the combination).
-//
-// The returned certain flag is false when the propagation budget was
-// exhausted before a verdict; callers must then treat the overall result as
-// unknown.
-func theoryCheck(lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool) {
-	consistent, certain, _ = theoryCheckExplain(lits, budget, tc)
-	return consistent, certain
-}
-
-// theoryCheckOn is theoryCheck against a persistent congruence engine (see
-// theoryCheckExplainOn).
+// theoryCheckOn decides whether a conjunction of theory literals is
+// consistent in the combination of linear rational arithmetic and
+// uninterpreted functions (see theoryCheckExplainOn).
 func theoryCheckOn(e *euf, lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool) {
 	consistent, certain, _ = theoryCheckExplainOn(e, lits, budget, tc)
 	return consistent, certain
 }
 
-// theoryCheckExplain additionally returns, when available, the indices of
-// the literals involved in an arithmetic conflict (a small starting point
-// for core minimization). A nil explanation means "unknown subset".
-func theoryCheckExplain(lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool, expl []int) {
-	return theoryCheckExplainOn(nil, lits, budget, tc)
-}
-
 // theoryCheckExplainOn runs the combined EUF+simplex check on a persistent
-// congruence engine. Term registration (including registration-time
-// congruence merges, which are model-independent and therefore globally
-// valid) accumulates in e across calls; everything the asserted literals
-// add — merges, signature inserts, disequalities — is recorded on a trail
-// and rolled back before returning, so e always ends a call in its
-// registration-only base state. A nil engine (or one bound to a different
-// interner than the literals) falls back to a private engine per call,
-// reproducing the non-incremental behavior exactly.
+// congruence engine: congruence closure and simplex run to a shared
+// fixpoint, exchanging equalities between them (both theories are convex,
+// so equality propagation suffices for completeness of the combination).
+// Term registration (including registration-time congruence merges, which
+// are model-independent and therefore globally valid) accumulates in e
+// across calls; everything the asserted literals add — merges, signature
+// inserts, disequalities — is recorded on a trail and rolled back before
+// returning, so e always ends a call in its registration-only base state.
+//
+// The returned certain flag is false when the propagation budget was
+// exhausted before a verdict; callers must then treat the overall result as
+// unknown. When available, expl holds the indices of the literals involved
+// in an arithmetic conflict (a small starting point for core
+// minimization); nil means "unknown subset".
 func theoryCheckExplainOn(e *euf, lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool, expl []int) {
 	// Every map downstream (congruence nodes, linear-form coefficients,
-	// the simplex variable index) keys on interned term IDs, so all atoms
-	// must live in one interner. On the solver path they already share the
-	// solver's interner and interning here is a pointer check; legacy
-	// callers (unit tests) get a private interner and their atoms are
-	// adopted structurally.
-	in := litsInterner(lits)
-	if tc != nil && tc.in != in {
-		// Atoms from a different interner than the cache was built for:
-		// their IDs would alias. Never happens on the solver path (the
-		// solver interns everything it touches); drop the cache.
-		tc = nil
-	}
-	if e == nil || e.in != in {
-		e = newEUFIn(in)
+	// the simplex variable index) keys on interned term IDs, so the atoms,
+	// the engine, and the cache must share one interner. On the solver
+	// path they all use the solver's, and interning an atom here is a
+	// pointer check.
+	in := e.in
+	if tc.in != in {
+		panic("smt: theory cache and congruence engine bound to different interners")
 	}
 	trueNode := fol.True()
 	falseNode := fol.False()
@@ -291,18 +265,6 @@ func theoryCheckExplainOn(e *euf, lits []theoryLit, budget int, tc *theoryCache)
 		}
 	}
 	return true, false, nil // budget exhausted; caller must treat as unknown
-}
-
-// litsInterner returns the interner the literals' atoms live in: the first
-// owned atom's interner, or a fresh private one when every atom is legacy
-// (or a universal singleton).
-func litsInterner(lits []theoryLit) *fol.Interner {
-	for _, l := range lits {
-		if o := l.atom.Owner(); o != nil {
-			return o
-		}
-	}
-	return fol.NewInterner()
 }
 
 // explain maps a simplex conflict explanation (constraint tags) back to

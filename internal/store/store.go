@@ -4,9 +4,9 @@
 // long-lived process earned.
 //
 // Keys are interner-independent. A verdict record is keyed on the canonical
-// serialization of its obligation formula (fol.Canonical / Term.Key), and a
-// lemma record carries the canonical keys of its atoms — never interner IDs,
-// which are dense per-epoch and meaningless across processes. The index
+// serialization of its obligation formula (Term.Key), and a lemma record
+// carries the canonical keys of its atoms — never interner IDs, which are
+// dense per-epoch and meaningless across processes. The index
 // buckets on a 64-bit FNV fingerprint of the key and confirms the full key
 // by reading the record back before returning a verdict, preserving the
 // repo-wide invariant that a hash collision can never substitute a

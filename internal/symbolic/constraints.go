@@ -30,28 +30,29 @@ func KeyFDAxiom(a, b Tuple, key []int) *fol.Term {
 	return fol.Implies(fol.And(prem...), IdentityEq(a, b))
 }
 
-// Member applies the uninterpreted membership predicate name to the value
-// components of tuple t at positions idx. The predicate models "some row
-// of the parent table carries these key values": parent scans assert it
-// of their own key, child scans assert it of their fully non-NULL foreign
-// keys (see FKChildAxiom), and because the symbol is uninterpreted the
-// solver may only conclude what both assertions jointly entail.
-func Member(name string, t Tuple, idx []int) *fol.Term {
+// Member applies the uninterpreted membership predicate name, minted in the
+// generator's interner, to the value components of tuple t at positions
+// idx. The predicate models "some row of the parent table carries these key
+// values": parent scans assert it of their own key, child scans assert it
+// of their fully non-NULL foreign keys (see FKChildAxiom), and because the
+// symbol is uninterpreted the solver may only conclude what both
+// assertions jointly entail.
+func (g *Gen) Member(name string, t Tuple, idx []int) *fol.Term {
 	args := make([]*fol.Term, len(idx))
 	for i, j := range idx {
 		args[i] = t[j].Val
 	}
-	return fol.App(name, fol.SortBool, args...)
+	return g.in.App(name, fol.SortBool, args...)
 }
 
 // FKChildAxiom states referential containment for one child tuple under
 // MATCH SIMPLE semantics: when every foreign-key component (fkIdx, as
 // positions into t) is non-NULL, the key tuple is a member of the parent
 // relation's key set.
-func FKChildAxiom(name string, t Tuple, fkIdx []int) *fol.Term {
+func (g *Gen) FKChildAxiom(name string, t Tuple, fkIdx []int) *fol.Term {
 	prem := make([]*fol.Term, len(fkIdx))
 	for i, j := range fkIdx {
 		prem[i] = fol.Not(t[j].Null)
 	}
-	return fol.Implies(fol.And(prem...), Member(name, t, fkIdx))
+	return fol.Implies(fol.And(prem...), g.Member(name, t, fkIdx))
 }

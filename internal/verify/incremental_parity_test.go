@@ -5,94 +5,28 @@ import (
 	"math/rand"
 	"testing"
 
-	"spes/internal/normalize"
 	"spes/internal/plan"
 	"spes/internal/schema"
 )
 
-// Differential verdict parity for incremental solving: assumption-based
-// sessions must be a pure solving-strategy change. For every pair this
-// harness builds, a Verifier on the default session-reusing path and a
-// Verifier forced onto one-shot solving (Config.DisableIncremental) must
-// return byte-identical Outcomes — both the Cardinal and the Full bit.
-// The pairs reuse the random_test generators, so the comparison covers
-// proved, cardinal-only, and unproved verdicts alike; a divergence means
-// session state leaked into an answer instead of only into saved work.
-
-// checkIncrementalParity verifies one plan pair under incremental and
-// one-shot solving and fails the test if the Outcomes differ.
-func checkIncrementalParity(t *testing.T, label, sql1, sql2 string) {
-	t.Helper()
-	b := plan.NewBuilder(testCatalog(t))
-	q1, err := b.BuildSQL(sql1)
-	if err != nil {
-		t.Fatalf("build %q: %v", sql1, err)
-	}
-	q2, err := b.BuildSQL(sql2)
-	if err != nil {
-		t.Fatalf("build %q: %v", sql2, err)
-	}
-	nz := normalize.New(normalize.Options{})
-	q1, q2 = nz.Normalize(q1), nz.Normalize(q2)
-
-	incremental := NewWithConfig(Config{})
-	oneShot := NewWithConfig(Config{DisableIncremental: true})
-	if !incremental.incremental {
-		t.Fatal("default Config should solve through sessions")
-	}
-	if oneShot.incremental {
-		t.Fatal("DisableIncremental should leave the Verifier on one-shot solving")
-	}
-
-	got := incremental.Check(q1, q2)
-	want := oneShot.Check(q1, q2)
-	if got != want {
-		t.Fatalf("%s: verdict divergence between solving modes\nsql1: %s\nsql2: %s\nincremental: %+v\none-shot:    %+v",
-			label, sql1, sql2, got, want)
-	}
-}
-
-// TestIncrementalVerdictParity drives the randomized soundness
-// distribution through both solving modes: self-pairs (always proved),
-// preserving rewrites (usually proved), and breaking perturbations
-// (usually not proved).
+// TestIncrementalVerdictParity holds the randomized soundness distribution
+// (a second seed) to the verdicts incremental sessions and one-shot
+// solving agreed on; see differential_test.go for the golden files.
 func TestIncrementalVerdictParity(t *testing.T) {
-	r := rand.New(rand.NewSource(20260805))
-	iterations := 60
-	if testing.Short() {
-		iterations = 15
-	}
-	for i := 0; i < iterations; i++ {
-		q := randQuery(r)
-		sql := q.sql()
-		checkIncrementalParity(t, "self", sql, sql)
-		checkIncrementalParity(t, "rewrite", sql, preservingRewrite(q, r))
-		checkIncrementalParity(t, "perturbed", sql, breakingPerturbation(q, r))
-	}
+	checkGolden(t, "incremental_verdict_parity.golden.json", randomizedPairs(20260805, shortOr(60, 15)))
 }
 
-// TestIncrementalVerdictParityCrossPairs pairs unrelated random queries,
-// exercising the not-proved and coincidentally-equivalent regions of the
-// verdict space under both modes.
+// TestIncrementalVerdictParityCrossPairs is the cross-pair counterpart.
 func TestIncrementalVerdictParityCrossPairs(t *testing.T) {
-	r := rand.New(rand.NewSource(271828))
-	iterations := 40
-	if testing.Short() {
-		iterations = 10
-	}
-	for i := 0; i < iterations; i++ {
-		a := randQuery(r)
-		b := randQuery(r)
-		checkIncrementalParity(t, "cross", a.sql(), b.sql())
-	}
+	checkGolden(t, "incremental_verdict_parity_cross_pairs.golden.json", crossPairs(271828, shortOr(40, 10)))
 }
 
 // TestIncrementalVerdictParityMultiCandidate stresses the workload
 // sessions exist for: self-join pairs whose predicate and projection are
 // relabeled by a permutation, forcing VeriVec to refute a lexicographic
 // stream of wrong bijections on one shared prefix before reaching the
-// right one. Both modes must prove every pair and, with the permutation
-// reversed on only one side's projection, fail every broken pair.
+// right one. Every pair must be proved and, with the permutation applied
+// to only one side's predicate, every broken pair must fail.
 func TestIncrementalVerdictParityMultiCandidate(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	tbl := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "a", Type: schema.Int, NotNull: true}}}
@@ -136,19 +70,10 @@ func TestIncrementalVerdictParityMultiCandidate(t *testing.T) {
 		// return different row sets unless the permutation is the identity.
 		q3 := &plan.SPJ{Inputs: inputs, Pred: chain(perm), Proj: proj(identity)}
 
-		inc := NewWithConfig(Config{})
-		one := NewWithConfig(Config{DisableIncremental: true})
-		got, want := inc.Check(q1, q2), one.Check(q1, q2)
-		if got != want {
-			t.Fatalf("k=%d perm=%v: verdict divergence\nincremental: %+v\none-shot:    %+v", k, perm, got, want)
-		}
-		if !got.Full {
+		if got := New().Check(q1, q2); !got.Full {
 			t.Fatalf("k=%d perm=%v: permuted self-join pair should be proved, got %+v", k, perm, got)
 		}
-		gotBroken, wantBroken := NewWithConfig(Config{}).Check(q1, q3), NewWithConfig(Config{DisableIncremental: true}).Check(q1, q3)
-		if gotBroken != wantBroken {
-			t.Fatalf("k=%d perm=%v: broken-pair verdict divergence\nincremental: %+v\none-shot:    %+v", k, perm, gotBroken, wantBroken)
-		}
+		gotBroken := New().Check(q1, q3)
 		isIdentity := true
 		for i, p := range perm {
 			if p != i {
