@@ -68,6 +68,14 @@ go test -race -run 'TestIncrementalVerdictParity|TestPipelineFuzzIncrementalPari
 go test -race -run 'TestForcedRotationParity|TestRotationConcurrentWithWorkers|TestWarmRestartParity|TestStoreFixtureAnswersWarm' ./internal/engine/
 go test -race -run 'TestFaultTornAppend|TestChecksumCorruptionLosesNeverFabricates' ./internal/store/
 
+# Cross-pair lemma replay: the pool's indexed replay must assert exactly
+# what a whole-pool scan asserts, in the same order, stay race-free under
+# concurrent admissions, and allocate nothing for lemmas it cannot cover;
+# simplex explanations and session lemma dedupe must be exact and
+# deterministic. Also part of the -race run above; pinned by name for the
+# same reason.
+go test -race -run 'TestSharedReplayMatchesFullScan|TestSharedReplayConcurrentAdd|TestSharedReplayUncoveredAllocsZero|TestSimplexExplainRowDeterministic|TestLemmaStoreDedupeCollidingCores' ./internal/smt/
+
 # Refutation soundness: every Refuted witness must replay, no Equivalent
 # may be refutable by the same bounded search, and witnesses must survive
 # a warm restart byte-identical. Also part of the -race run above; pinned

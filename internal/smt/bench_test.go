@@ -108,3 +108,16 @@ func BenchmarkDisjunctiveObligation(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayShared replays a full lemma pool into an instance whose
+// small vocabulary touches every lemma but covers none: the steady cost a
+// new case instance pays for cross-pair lemma sharing.
+func BenchmarkReplayShared(b *testing.B) {
+	_, in := uncoveredPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.sharedAtoms, in.sharedSeen = 0, 0
+		in.replayShared()
+	}
+}

@@ -1,6 +1,10 @@
 package smt
 
-import "sync"
+import (
+	"sync"
+
+	"spes/internal/fol"
+)
 
 // LemmaLit is one literal of a pooled theory lemma, identified by the
 // canonical key of its atom rather than an interned ID. Canonical keys are
@@ -30,20 +34,28 @@ type LemmaLit struct {
 // The pool is append-only and bounded: once full it stops remembering, never
 // misbehaves. All methods are safe for concurrent use; replay readers take a
 // snapshot of the append-only slice and index it lock-free.
+//
+// byAtom is the replay index: for every atom key, the ascending pool indices
+// of the lemmas that mention it. A lemma can only be covered by a
+// vocabulary that registers each of its atoms, so an instance finds every
+// lemma its new atoms may have completed by reading their posting lists
+// instead of walking the pool (see instance.coveredShared).
 type LemmaPool struct {
 	mu     sync.Mutex
 	lemmas [][]LemmaLit
+	byAtom map[string][]int32
 	seen   map[uint64]bool
 	sink   func([]LemmaLit)
 }
 
-// maxPoolLemmas bounds the pool. Lemmas are minimized cores (a handful of
-// literals each), so this is a few hundred KB at worst.
+// maxPoolLemmas bounds the pool and with it the replay index. Lemmas are
+// minimized cores (a handful of literals each), so this is a few hundred KB
+// at worst.
 const maxPoolLemmas = 2048
 
 // NewLemmaPool returns an empty pool.
 func NewLemmaPool() *LemmaPool {
-	return &LemmaPool{seen: make(map[uint64]bool)}
+	return &LemmaPool{byAtom: make(map[string][]int32), seen: make(map[uint64]bool)}
 }
 
 // SetSink registers a callback invoked (outside the pool lock) for every
@@ -63,14 +75,20 @@ func (p *LemmaPool) Add(lits []LemmaLit) bool {
 		return false
 	}
 	fp := poolFingerprint(lits)
-	cp := append([]LemmaLit(nil), lits...)
 	p.mu.Lock()
 	if p.seen[fp] || len(p.lemmas) >= maxPoolLemmas {
 		p.mu.Unlock()
 		return false
 	}
+	cp := append([]LemmaLit(nil), lits...)
+	idx := int32(len(p.lemmas))
 	p.seen[fp] = true
 	p.lemmas = append(p.lemmas, cp)
+	for i, l := range cp {
+		if !mentions(cp[:i], l.AtomKey) {
+			p.byAtom[l.AtomKey] = append(p.byAtom[l.AtomKey], idx)
+		}
+	}
 	sink := p.sink
 	p.mu.Unlock()
 	if sink != nil {
@@ -108,6 +126,44 @@ func (p *LemmaPool) view() [][]LemmaLit {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.lemmas
+}
+
+// candidates reads one replay's candidates under a single lock acquisition.
+// The replaying instance last replayed when the pool held seen lemmas and
+// has registered the atoms fresh since. The candidates are the posting-list
+// entries of the fresh atoms and, if it had registered atoms before (old),
+// every lemma admitted since: such a lemma may lie entirely over the old
+// atoms. It returns the lemma snapshot and dst extended with the
+// candidates, unsorted and possibly repeated.
+func (p *LemmaPool) candidates(fresh []*fol.Term, old bool, seen int, dst []int32) ([][]LemmaLit, []int32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	limit := int32(len(p.lemmas))
+	if old {
+		for i := int32(seen); i < limit; i++ {
+			dst = append(dst, i)
+		}
+		limit = int32(seen) // later entries are already in
+	}
+	for _, t := range fresh {
+		for _, i := range p.byAtom[t.Key()] {
+			if i >= limit {
+				break // posting lists ascend
+			}
+			dst = append(dst, i)
+		}
+	}
+	return p.lemmas, dst
+}
+
+// mentions reports whether lits has a literal over the atom key.
+func mentions(lits []LemmaLit, key string) bool {
+	for _, l := range lits {
+		if l.AtomKey == key {
+			return true
+		}
+	}
+	return false
 }
 
 // addCore admits a freshly blocked theory core, translating interned atoms

@@ -195,8 +195,7 @@ func (se *Session) checkJoint(core *fol.Term, defs []*fol.Term) Result {
 		}
 		in := s.newCaseInstance(c)
 		in.store = se.store
-		in.replayLemmas()
-		in.replayShared()
+		in.replayLemmas() // newCaseInstance already replayed the pool
 		switch s.run(in) {
 		case Sat:
 			return Sat

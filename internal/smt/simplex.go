@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/big"
+	"slices"
 )
 
 // simplex is a general simplex solver for linear rational arithmetic in the
@@ -182,19 +183,26 @@ func (s *simplex) check() bool {
 // explainRow records the infeasibility explanation for a stuck row: the
 // violated bound of the basic variable plus the blocking bound of every
 // non-basic variable in its row (the standard Dutertre–de Moura
-// explanation).
+// explanation). The row's contributions follow in ascending variable
+// index, so one infeasible tableau always yields one explanation: its
+// literal order seeds core minimization, and through it the learned core
+// and the lemma the store persists.
 func (s *simplex) explainRow(b int, row map[int]*big.Rat, increase bool) {
-	why := []int{}
+	vars := make([]int, 0, len(row))
+	for x, c := range row {
+		if c.Sign() != 0 {
+			vars = append(vars, x)
+		}
+	}
+	slices.Sort(vars)
+	why := make([]int, 0, 1+len(vars))
 	if increase {
 		why = append(why, s.lowerWhy[b])
 	} else {
 		why = append(why, s.upperWhy[b])
 	}
-	for x, c := range row {
-		if c.Sign() == 0 {
-			continue
-		}
-		pos := c.Sign() > 0
+	for _, x := range vars {
+		pos := row[x].Sign() > 0
 		if !increase {
 			pos = !pos
 		}

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 )
 
@@ -212,5 +213,29 @@ func TestDeltaArithmetic(t *testing.T) {
 	}
 	if got := a.sub(b); got.R.Sign() != 0 || got.D.Cmp(rat(-1, 1)) != 0 {
 		t.Errorf("sub: got %v", got)
+	}
+}
+
+func TestSimplexExplainRowDeterministic(t *testing.T) {
+	// x0 + x1 + x2 + x3 >= 10 with every xi <= 2: the slack's row is stuck,
+	// and its explanation must list the row's bounds in ascending variable
+	// order on every run, not in map iteration order.
+	want := []int{10, 0, 1, 2, 3}
+	for run := 0; run < 200; run++ {
+		s := newSimplex()
+		coeffs := map[int]*big.Rat{}
+		for i := 0; i < 4; i++ {
+			x := s.newVar()
+			coeffs[x] = rat(1, 1)
+			s.assertUpper(x, dInt(2), i)
+		}
+		sl := s.defineSlack(coeffs)
+		s.assertLower(sl, dInt(10), 10)
+		if s.check() {
+			t.Fatal("should be infeasible")
+		}
+		if !slices.Equal(s.conflictWhy, want) {
+			t.Fatalf("run %d: conflictWhy = %v, want %v", run, s.conflictWhy, want)
+		}
 	}
 }

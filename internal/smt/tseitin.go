@@ -1,7 +1,9 @@
 package smt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"spes/internal/fol"
 	"spes/internal/sat"
@@ -41,11 +43,17 @@ type instance struct {
 	lemmaOn []bool
 	// shared, when non-nil, is the cross-pair lemma pool (see LemmaPool).
 	// Its lemmas are keyed on canonical atom keys, so atomByKey indexes the
-	// vocabulary by key alongside atomVar's ID index; sharedOn flags which
-	// pool lemmas this instance has asserted.
-	shared    *LemmaPool
-	atomByKey map[string]*fol.Term
-	sharedOn  []bool
+	// vocabulary by key alongside atomVar's ID index. Like trichoDone,
+	// sharedAtoms and sharedSeen are replay cursors: how much of the
+	// vocabulary has been looked up in the pool's index, and how many pool
+	// lemmas existed at the last replay. replayIdx and replayCore are
+	// buffers reused across replays.
+	shared      *LemmaPool
+	atomByKey   map[string]*fol.Term
+	sharedAtoms int
+	sharedSeen  int
+	replayIdx   []int32
+	replayCore  []theoryLit
 	// base is the atom set of this instance's prefix case, fixed at
 	// promotion; live, when non-nil, restricts which atoms the theory layer
 	// examines for the current check (see modelLits).
@@ -190,7 +198,7 @@ func (in *instance) addTrichotomy() {
 // model rounds for replay into the persistent prefix instances.
 type lemmaStore struct {
 	lemmas [][]theoryLit
-	seen   map[uint64]bool
+	seen   map[string]bool // coreKey of every stored lemma
 }
 
 // maxStoredLemmas bounds a session's lemma memory. Cores are tiny (they are
@@ -199,30 +207,42 @@ type lemmaStore struct {
 const maxStoredLemmas = 512
 
 func newLemmaStore() *lemmaStore {
-	return &lemmaStore{seen: make(map[uint64]bool)}
+	return &lemmaStore{seen: make(map[string]bool)}
 }
 
-// record remembers a freshly learned theory core, deduplicating by the
-// atoms' interned IDs and polarities.
+// record remembers a freshly learned theory core unless the same literal
+// set is already stored.
 func (ls *lemmaStore) record(core []theoryLit) {
 	if ls == nil || len(ls.lemmas) >= maxStoredLemmas {
 		return
 	}
-	var key uint64 = 1469598103934665603 // FNV offset basis
-	for _, l := range core {
-		id := uint64(l.atom.ID()) << 1
-		if l.pos {
-			id |= 1
-		}
-		// Order-independent mix: minimization may emit the same core in a
-		// different literal order.
-		key += id * 1099511628211
-	}
+	key := coreKey(core)
 	if ls.seen[key] {
 		return
 	}
 	ls.seen[key] = true
 	ls.lemmas = append(ls.lemmas, append([]theoryLit(nil), core...))
+}
+
+// coreKey is the exact identity of a core's literal set: the sorted
+// (atom ID, polarity) codes, varint-encoded. Sorting makes it
+// order-independent — minimization may emit the same core in a different
+// literal order — and, unlike a sum of per-literal hashes, distinct sets
+// never share a key ({p, ¬q} and {¬p, q} have equal code sums).
+func coreKey(core []theoryLit) string {
+	codes := make([]uint64, len(core))
+	for i, l := range core {
+		codes[i] = uint64(l.atom.ID()) << 1
+		if l.pos {
+			codes[i] |= 1
+		}
+	}
+	slices.Sort(codes)
+	buf := make([]byte, 0, binary.MaxVarintLen32*len(codes))
+	for _, c := range codes {
+		buf = binary.AppendUvarint(buf, c)
+	}
+	return string(buf)
 }
 
 // replayLemmas asserts every stored lemma whose atoms are all registered in
@@ -263,29 +283,50 @@ func (in *instance) replayShared() {
 	if in.shared == nil {
 		return
 	}
-	lemmas := in.shared.view()
-	for i, lits := range lemmas {
-		if i < len(in.sharedOn) && in.sharedOn[i] {
-			continue
+	lemmas, covered := in.coveredShared()
+	for _, i := range covered {
+		core := in.replayCore[:0]
+		for _, l := range lemmas[i] {
+			core = append(core, theoryLit{atom: in.atomByKey[l.AtomKey], pos: l.Pos})
 		}
-		for len(in.sharedOn) <= i {
-			in.sharedOn = append(in.sharedOn, false)
-		}
-		core := make([]theoryLit, len(lits))
-		covered := true
-		for j, l := range lits {
-			t, ok := in.atomByKey[l.AtomKey]
-			if !ok {
-				covered = false
-				break
-			}
-			core[j] = theoryLit{atom: t, pos: l.Pos}
-		}
-		if covered {
-			in.block(core)
-			in.sharedOn[i] = true
+		in.block(core)
+		in.replayCore = core
+	}
+}
+
+// coveredShared advances the replay cursors and returns the pool snapshot
+// with the indices, ascending, of the pool lemmas this instance's
+// vocabulary newly covers. Its cost follows what changed since the last
+// call — the atoms registered and the lemmas admitted since — not the
+// pool's size: a lemma left uncovered then lacked an atom, so it can only
+// be covered now through the posting list of an atom registered since. In
+// ascending order the asserted set and clause order are exactly those of a
+// scan over the whole pool. The returned slice is a reused buffer, valid
+// until the next call.
+func (in *instance) coveredShared() ([][]LemmaLit, []int32) {
+	fresh := in.atoms[in.sharedAtoms:]
+	lemmas, cand := in.shared.candidates(fresh, in.sharedAtoms > 0, in.sharedSeen, in.replayIdx[:0])
+	in.sharedAtoms, in.sharedSeen = len(in.atoms), len(lemmas)
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
+	covered := cand[:0]
+	for _, i := range cand {
+		if in.covers(lemmas[i]) {
+			covered = append(covered, i)
 		}
 	}
+	in.replayIdx = covered
+	return lemmas, covered
+}
+
+// covers reports whether every atom of a pool lemma is registered here.
+func (in *instance) covers(lits []LemmaLit) bool {
+	for _, l := range lits {
+		if _, ok := in.atomByKey[l.AtomKey]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // walkAtoms collects the theory atoms of a boolean term into dst, walking
