@@ -165,8 +165,8 @@ func BenchmarkVerify_PaperExample1(b *testing.B) {
 
 // batchPairs builds the Table 2 candidate pairs of a small production
 // workload once per benchmark binary; the engine benchmarks below all run
-// the same pair slice, so the numbers compose into the speedup columns of
-// BENCH_batch.json.
+// the same pair slice, so their pairs/s compare directly with
+// BenchmarkBatch_Sequential's.
 var batchPairsOnce []engine.PlanPair
 
 func batchBenchPairs(b *testing.B) []engine.PlanPair {

@@ -32,6 +32,19 @@ if grep -rn 'smt\.New()' internal/verify --include='*.go' \
     exit 1
 fi
 
+# wait_listen LOG PROGRAM prints the address PROGRAM logged to LOG as
+# "PROGRAM: listening on ADDR", polling for up to 5 s (50 x 0.1 s); it
+# fails, stopping the script, when no address appears.
+wait_listen() {
+    addr=
+    for i in $(seq 1 50); do
+        addr=$(sed -n "s/^$2: listening on //p" "$1" | head -1)
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] && echo "$addr"
+}
+
 go vet ./...
 # Formatting gate: gofmt must have nothing to rewrite.
 unformatted=$(gofmt -l .)
@@ -98,12 +111,7 @@ go build -o "$tmp/spes-serve" ./cmd/spes-serve
 SERVE_PID=$!
 
 # The first log line is "spes-serve: listening on 127.0.0.1:PORT".
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/serve.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/serve.log" spes-serve)
 curl -sf "http://$ADDR/healthz" | grep -q '"status": "ok"'
 
 # A FilterMerge rewrite the prover must prove equivalent.
@@ -140,12 +148,7 @@ grep -q 'spes-serve: drained' "$tmp/serve.log"
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 \
     -faults "seed=7,rate=200,delay=1ms" >"$tmp/chaos.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/chaos.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/chaos.log" spes-serve)
 grep -q 'FAULT INJECTION ARMED' "$tmp/chaos.log"
 
 i=0
@@ -195,12 +198,7 @@ EOF
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -store-dir "$tmp/store" \
     -term-highwater 4096 >"$tmp/warm1.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/warm1.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/warm1.log" spes-serve)
 curl -sf -X POST "http://$ADDR/v1/verify/batch" -d @"$tmp/batch.json" >"$tmp/warm1.json"
 grep -o '"verdict": "[a-z-]*"' "$tmp/warm1.json" >"$tmp/verdicts1.txt"
 kill -INT $SERVE_PID
@@ -211,12 +209,7 @@ grep -q 'spes-serve: drained' "$tmp/warm1.log"
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -store-dir "$tmp/store" \
     -term-highwater 4096 >"$tmp/warm2.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/warm2.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/warm2.log" spes-serve)
 grep -q 'durable store' "$tmp/warm2.log"
 curl -sf -X POST "http://$ADDR/v1/verify/batch" -d @"$tmp/batch.json" >"$tmp/warm2.json"
 grep -o '"verdict": "[a-z-]*"' "$tmp/warm2.json" >"$tmp/verdicts2.txt"
@@ -243,13 +236,8 @@ go build -o "$tmp/spes-router" ./cmd/spes-router
 SHARD_A_PID=$!
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -shard-id b >"$tmp/shard-b.log" 2>&1 &
 SHARD_B_PID=$!
-for i in $(seq 1 50); do
-    ADDR_A=$(sed -n 's/^spes-serve: listening on //p' "$tmp/shard-a.log" | head -1)
-    ADDR_B=$(sed -n 's/^spes-serve: listening on //p' "$tmp/shard-b.log" | head -1)
-    [ -n "$ADDR_A" ] && [ -n "$ADDR_B" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR_A" ] && [ -n "$ADDR_B" ]
+ADDR_A=$(wait_listen "$tmp/shard-a.log" spes-serve)
+ADDR_B=$(wait_listen "$tmp/shard-b.log" spes-serve)
 grep -q 'spes-serve: shard-id a' "$tmp/shard-a.log"
 
 # Reference verdicts: one shard verifying the whole batch directly.
@@ -262,12 +250,7 @@ grep -o '"verdict": "[a-z-]*"' "$tmp/cluster-ref.json" >"$tmp/cluster-ref-verdic
     -retry-after-cap 200ms \
     -shards "a=http://$ADDR_A,b=http://$ADDR_B" >"$tmp/router.log" 2>&1 &
 ROUTER_PID=$!
-for i in $(seq 1 50); do
-    RADDR=$(sed -n 's/^spes-router: listening on //p' "$tmp/router.log" | head -1)
-    [ -n "$RADDR" ] && break
-    sleep 0.1
-done
-[ -n "$RADDR" ]
+RADDR=$(wait_listen "$tmp/router.log" spes-router)
 curl -sf "http://$RADDR/healthz" | grep -q '"ring_size": 2'
 
 # Routed batch with both shards up: verdict-identical to single-node.
@@ -364,12 +347,7 @@ go build -o "$tmp/extract-witness" "$tmp/extract_witness.go"
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -refute-budget 300 \
     >"$tmp/refute.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/refute.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/refute.log" spes-serve)
 curl -sf -X POST "http://$ADDR/v1/verify/batch" -d @"$tmp/buggy-batch.json" >"$tmp/refute1.json"
 "$tmp/extract-witness" <"$tmp/refute1.json" >"$tmp/refute-standalone.txt"
 grep -q '^b1 refuted {' "$tmp/refute-standalone.txt"
@@ -390,22 +368,12 @@ SHARD_A_PID=$!
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -shard-id rb \
     -refute-budget 300 >"$tmp/refute-b.log" 2>&1 &
 SHARD_B_PID=$!
-for i in $(seq 1 50); do
-    ADDR_A=$(sed -n 's/^spes-serve: listening on //p' "$tmp/refute-a.log" | head -1)
-    ADDR_B=$(sed -n 's/^spes-serve: listening on //p' "$tmp/refute-b.log" | head -1)
-    [ -n "$ADDR_A" ] && [ -n "$ADDR_B" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR_A" ] && [ -n "$ADDR_B" ]
+ADDR_A=$(wait_listen "$tmp/refute-a.log" spes-serve)
+ADDR_B=$(wait_listen "$tmp/refute-b.log" spes-serve)
 "$tmp/spes-router" -corpus calcite -addr 127.0.0.1:0 \
     -shards "ra=http://$ADDR_A,rb=http://$ADDR_B" >"$tmp/refute-router.log" 2>&1 &
 ROUTER_PID=$!
-for i in $(seq 1 50); do
-    RADDR=$(sed -n 's/^spes-router: listening on //p' "$tmp/refute-router.log" | head -1)
-    [ -n "$RADDR" ] && break
-    sleep 0.1
-done
-[ -n "$RADDR" ]
+RADDR=$(wait_listen "$tmp/refute-router.log" spes-router)
 curl -sf -X POST "http://$RADDR/v1/verify/batch" -d @"$tmp/buggy-batch.json" >"$tmp/refute2.json"
 "$tmp/extract-witness" <"$tmp/refute2.json" >"$tmp/refute-routed.txt"
 diff "$tmp/refute-standalone.txt" "$tmp/refute-routed.txt"   # placement must not change a witness
@@ -475,12 +443,7 @@ EOF
 "$tmp/spes-serve" -schema "$tmp/constrained.sql" -addr 127.0.0.1:0 \
     -store-dir "$tmp/cstore" >"$tmp/con1.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/con1.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/con1.log" spes-serve)
 grep -q 'spes-serve: constraint digest' "$tmp/con1.log"
 curl -sf -X POST "http://$ADDR/v1/verify" -d @"$tmp/joinelim.json" >"$tmp/con1.json"
 grep -q '"verdict": "equivalent"' "$tmp/con1.json"
@@ -496,12 +459,7 @@ grep -q 'spes-serve: drained' "$tmp/con1.log"
 "$tmp/spes-serve" -schema "$tmp/unconstrained.sql" -addr 127.0.0.1:0 \
     -store-dir "$tmp/cstore" >"$tmp/con2.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/con2.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/con2.log" spes-serve)
 curl -sf -X POST "http://$ADDR/v1/verify" -d @"$tmp/joinelim.json" >"$tmp/con2.json"
 grep -q '"verdict": "not-proved"' "$tmp/con2.json"
 ! grep -q "\"constraint_digest\": \"$CON_DIGEST\"" "$tmp/con2.json"
@@ -514,12 +472,7 @@ grep -q 'spes-serve: drained' "$tmp/con2.log"
 "$tmp/spes-serve" -schema "$tmp/constrained.sql" -addr 127.0.0.1:0 \
     -store-dir "$tmp/cstore" >"$tmp/con3.log" 2>&1 &
 SERVE_PID=$!
-for i in $(seq 1 50); do
-    ADDR=$(sed -n 's/^spes-serve: listening on //p' "$tmp/con3.log" | head -1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ]
+ADDR=$(wait_listen "$tmp/con3.log" spes-serve)
 curl -sf -X POST "http://$ADDR/v1/verify" -d @"$tmp/joinelim.json" >"$tmp/con3.json"
 grep -q '"verdict": "equivalent"' "$tmp/con3.json"
 curl -sf "http://$ADDR/metrics" >"$tmp/con3-metrics.txt"
@@ -539,23 +492,13 @@ grep -q 'spes-serve: drained' "$tmp/con3.log"
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -shard-id wb \
     -store-dir "$tmp/repl-b" >"$tmp/repl-b.log" 2>&1 &
 SHARD_B_PID=$!
-for i in $(seq 1 50); do
-    ADDR_B=$(sed -n 's/^spes-serve: listening on //p' "$tmp/repl-b.log" | head -1)
-    [ -n "$ADDR_B" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR_B" ]
+ADDR_B=$(wait_listen "$tmp/repl-b.log" spes-serve)
 
 "$tmp/spes-serve" -corpus calcite -addr 127.0.0.1:0 -shard-id wa \
     -store-dir "$tmp/repl-a" -replicate-from "wb=http://$ADDR_B" \
     -replicate-interval 20ms >"$tmp/repl-a.log" 2>&1 &
 SHARD_A_PID=$!
-for i in $(seq 1 50); do
-    ADDR_A=$(sed -n 's/^spes-serve: listening on //p' "$tmp/repl-a.log" | head -1)
-    [ -n "$ADDR_A" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR_A" ]
+ADDR_A=$(wait_listen "$tmp/repl-a.log" spes-serve)
 grep -q 'replicating from wb' "$tmp/repl-a.log"
 
 # Prove the whole batch on the victim so its store holds every verdict the
@@ -575,12 +518,7 @@ curl -sf "http://$ADDR_A/metrics" | grep -q 'spes_replication_records_total{orig
     -retry-after-cap 200ms \
     -shards "wa=http://$ADDR_A,wb=http://$ADDR_B" >"$tmp/repl-router.log" 2>&1 &
 ROUTER_PID=$!
-for i in $(seq 1 50); do
-    RADDR=$(sed -n 's/^spes-router: listening on //p' "$tmp/repl-router.log" | head -1)
-    [ -n "$RADDR" ] && break
-    sleep 0.1
-done
-[ -n "$RADDR" ]
+RADDR=$(wait_listen "$tmp/repl-router.log" spes-router)
 # The router publishes the ring's failover assignment for operators to
 # wire -replicate-from against.
 curl -sf "http://$RADDR/healthz" | grep -q '"failover_to"'
